@@ -3,7 +3,7 @@
 //!
 //! Generates the seeded bug corpus (N seeds × 4 injected bug kinds), runs
 //! every search frontier against each scenario's ground truth, re-runs each
-//! winner at 1/2/8 engine threads, and pushes the corpus through the
+//! winner once to check it reproduces, and pushes the corpus through the
 //! multi-job executor under every fairness policy — human-readable on
 //! stdout, machine-readable as JSON.
 //!
@@ -67,7 +67,7 @@ fn main() {
         }
         for s in report.scenarios.iter().filter(|s| !s.winner_deterministic) {
             eprintln!(
-                "FAIL: {}: winner {} is not byte-identical across 1/2/8 threads",
+                "FAIL: {}: winner {} is not byte-identical when re-synthesized",
                 s.name,
                 s.winner.as_deref().unwrap_or("?")
             );

@@ -10,8 +10,7 @@
 //!   the batch with BPF jobs.
 //! * The JSON lands in `BENCH_executor.json`, or in the first CLI argument
 //!   ending in `.json`, or in `$ESD_BENCH_OUT`.
-//! * `threads:<n>` / `ESD_THREADS` select the engine thread count per job;
-//!   `ESD_STATIC_PRUNING=0` switches the static feasibility pass off and
+//! * `ESD_STATIC_PRUNING=0` switches the static feasibility pass off and
 //!   `ESD_RACE_CANDIDATES=0` switches the static race-candidate preemption
 //!   gating off.
 //! * `pool:<n>` / `ESD_POOL` select the executor worker-pool size of the
@@ -25,7 +24,7 @@
 //!   the cross-job parallel leg's execution files diverge from the serial
 //!   baseline.
 
-use esd_bench::{executor_throughput, full_mode, print_executor_throughput, threads_from_args};
+use esd_bench::{executor_throughput, full_mode, print_executor_throughput};
 
 /// Reduced-budget (smoke) instruction budget per job.
 const SMOKE_BUDGET: u64 = 4_000_000;
@@ -45,7 +44,7 @@ fn out_path() -> String {
 
 fn main() {
     let budget = if full_mode() { FULL_BUDGET } else { SMOKE_BUDGET };
-    let report = executor_throughput(budget, SLICE_ROUNDS, threads_from_args());
+    let report = executor_throughput(budget, SLICE_ROUNDS);
     print_executor_throughput(&report);
 
     let path = out_path();

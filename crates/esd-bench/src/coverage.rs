@@ -12,8 +12,8 @@
 //!    truth (fault tag, fault location, arming inputs)? A mismatch is a
 //!    false positive. ([`CoverageReport::false_positives`])
 //! 3. **Determinism** — does each scenario's winning configuration produce a
-//!    byte-identical execution file at 1, 2 and 8 engine threads, and do all
-//!    fairness policies agree on every job's outcome?
+//!    byte-identical execution file when re-synthesized, and do all fairness
+//!    policies agree on every job's outcome?
 //!    ([`ScenarioRow::winner_deterministic`],
 //!    [`CoverageReport::policies_agree`])
 //!
@@ -27,10 +27,6 @@ use esd_symex::FrontierKind;
 use esd_workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use serde::Serialize;
 use std::time::Instant;
-
-/// The engine thread counts the winner-determinism check re-runs at — the
-/// same 1/2/8 matrix the CI determinism job pins for the test suite.
-pub const DETERMINISM_THREADS: [usize; 3] = [1, 2, 8];
 
 /// The frontier lineup of the matrix: every [`FrontierKind`] the engine
 /// offers, with the beam at the executor tests' width.
@@ -127,8 +123,7 @@ pub struct ScenarioRow {
     /// ground truth.
     pub winner: Option<String>,
     /// Whether the winner's execution file is byte-identical when
-    /// re-synthesized at every [`DETERMINISM_THREADS`] engine thread count
-    /// (`true` vacuously when no frontier won).
+    /// re-synthesized (`true` vacuously when no frontier won).
     pub winner_deterministic: bool,
 }
 
@@ -254,6 +249,7 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
     let mut scenarios = Vec::with_capacity(corpus.len());
     for (idx, w) in corpus.iter().enumerate() {
         let mut cells = Vec::with_capacity(frontiers.len());
+        let mut executions = Vec::with_capacity(frontiers.len());
         for &frontier in &frontiers {
             let esd = esd_core::Esd::new(cell_options(w, frontier, config.budget));
             let run_started = Instant::now();
@@ -263,6 +259,7 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
                 w.truth.needs_race_preemptions,
             );
             let elapsed = secs(run_started.elapsed());
+            executions.push(result.as_ref().ok().map(|r| r.execution.to_json()));
             let cell = match result {
                 Ok(report) => {
                     let mismatch = w.truth.matches(&report.execution).err();
@@ -296,12 +293,15 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
         }
         let winner = cells
             .iter()
-            .zip(&frontiers)
-            .filter(|(c, _)| c.found && c.truth_ok)
-            .min_by_key(|(c, _)| c.steps)
-            .map(|(c, f)| (c.frontier.clone(), *f));
+            .enumerate()
+            .filter(|(_, c)| c.found && c.truth_ok)
+            .min_by_key(|(_, c)| c.steps)
+            .map(|(i, c)| (c.frontier.clone(), i));
         let winner_deterministic = match &winner {
-            Some((_, frontier)) => winner_is_deterministic(w, *frontier, config.budget),
+            Some((_, i)) => {
+                let expected = executions[*i].as_deref().expect("found cells keep their execution");
+                winner_is_deterministic(w, frontiers[*i], config.budget, expected)
+            }
             None => true,
         };
         let row = ScenarioRow {
@@ -375,36 +375,17 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
     }
 }
 
-/// Re-synthesizes a scenario's winning configuration at every
-/// [`DETERMINISM_THREADS`] count and checks the execution files are
-/// byte-identical.
-fn winner_is_deterministic(w: &GeneratedWorkload, frontier: FrontierKind, budget: u64) -> bool {
-    let mut baseline: Option<String> = None;
-    for threads in DETERMINISM_THREADS {
-        let options = EsdOptions::builder()
-            .max_steps(budget)
-            .frontier(frontier)
-            .with_race_detection(w.truth.needs_race_preemptions)
-            .threads(threads)
-            .static_pruning(crate::static_pruning_from_env())
-            .race_candidate_pruning(crate::race_candidates_from_env())
-            .build();
-        let result = esd_core::Esd::new(options).synthesize_goal(
-            &w.program,
-            w.truth.goal.clone(),
-            w.truth.needs_race_preemptions,
-        );
-        let json = match result {
-            Ok(report) => report.execution.to_json(),
-            Err(_) => return false,
-        };
-        match &baseline {
-            None => baseline = Some(json),
-            Some(expected) if *expected == json => {}
-            Some(_) => return false,
-        }
-    }
-    true
+/// Re-synthesizes a scenario's winning configuration once and checks the
+/// execution file is byte-identical to the matrix run's `expected` one.
+fn winner_is_deterministic(
+    w: &GeneratedWorkload,
+    frontier: FrontierKind,
+    budget: u64,
+    expected: &str,
+) -> bool {
+    esd_core::Esd::new(cell_options(w, frontier, budget))
+        .synthesize_goal(&w.program, w.truth.goal.clone(), w.truth.needs_race_preemptions)
+        .is_ok_and(|report| report.execution.to_json() == expected)
 }
 
 /// Runs the corpus through the [`JobExecutor`] under each fairness policy
@@ -412,7 +393,7 @@ fn winner_is_deterministic(w: &GeneratedWorkload, frontier: FrontierKind, budget
 /// verdict and execution file — the service-layer half of the determinism
 /// contract (scheduling arbitration must never leak into results).
 pub fn policy_differential(corpus: &[GeneratedWorkload], budget: u64) -> Vec<PolicyJobRow> {
-    let specs = |threads: usize| -> Vec<JobSpec> {
+    let specs = || -> Vec<JobSpec> {
         corpus
             .iter()
             .map(|w| {
@@ -420,7 +401,6 @@ pub fn policy_differential(corpus: &[GeneratedWorkload], budget: u64) -> Vec<Pol
                     EsdOptions::builder()
                         .max_steps(budget)
                         .with_race_detection(w.truth.needs_race_preemptions)
-                        .threads(threads)
                         .static_pruning(crate::static_pruning_from_env())
                         .race_candidate_pruning(crate::race_candidates_from_env())
                         .build(),
@@ -435,7 +415,7 @@ pub fn policy_differential(corpus: &[GeneratedWorkload], budget: u64) -> Vec<Pol
     ];
     let mut per_policy: Vec<Vec<(JobVerdict, Option<String>)>> = Vec::new();
     for executor in executors {
-        let outcomes = executor.slice_rounds(256).run_batch(specs(1));
+        let outcomes = executor.slice_rounds(256).run_batch(specs());
         per_policy.push(
             outcomes
                 .into_iter()

@@ -18,7 +18,7 @@
 //!
 //! The caller drives the executor explicitly — [`JobExecutor::submit`],
 //! [`JobExecutor::run_slice`] / [`JobExecutor::run_until_idle`],
-//! [`JobExecutor::poll`], [`JobExecutor::cancel`],
+//! [`JobExecutor::status`], [`JobExecutor::cancel`],
 //! [`JobExecutor::take`] — and can observe every job through a per-job
 //! [`Observer`] fan-out plus aggregate [`ExecutorStats`].
 //!
@@ -26,7 +26,7 @@
 //! only at [`Engine::step_round`](esd_symex::Engine::step_round) boundaries
 //! and the executor shares nothing between jobs, so a job's synthesized
 //! execution file is byte-identical whether the job ran solo or interleaved
-//! with any number of other jobs, at any engine thread count (pinned by the
+//! with any number of other jobs, at any pool size (pinned by the
 //! `tests/executor.rs` integration suite and the CI determinism matrix).
 //!
 //! **Admission control.** [`JobExecutor::max_running`] bounds how many jobs
@@ -156,21 +156,6 @@ impl JobSpec {
     }
 }
 
-/// Where a job currently is in its lifecycle.
-///
-/// This is the executor's *internal* lifecycle value (still carried by
-/// [`JobStat`] and snapshots); the public query surface is the richer
-/// [`JobStatus`] returned by [`JobExecutor::status`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum JobPhase {
-    /// Submitted, waiting for admission (no sessions exist yet).
-    Queued,
-    /// Admitted: the job holds live sessions and receives slices.
-    Running,
-    /// Terminal: an outcome is available via [`JobExecutor::take`].
-    Finished,
-}
-
 /// Aggregate progress of one running job, summed over its members — the
 /// payload of [`JobStatus::Running`] and the event the service layer streams
 /// to [`subscribe`]rs as wire messages.
@@ -194,11 +179,8 @@ pub struct JobProgress {
 /// The one job-status surface: where a job is and, once terminal, how it
 /// ended. Returned by [`JobExecutor::status`], by the `Service` front door,
 /// and sent verbatim over the wire protocol — the same enum at every layer.
-///
-/// This collapses the old `poll()`/`outcome()` split ([`JobPhase`] +
-/// [`JobVerdict`] + `Option<&JobOutcome>`) into a single type; the full
-/// [`JobOutcome`] (with the synthesized execution) is still *extracted* with
-/// [`JobExecutor::take`].
+/// The full [`JobOutcome`] (with the synthesized execution) is *extracted*
+/// with [`JobExecutor::take`].
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum JobStatus {
     /// Submitted, waiting for admission.
@@ -442,8 +424,6 @@ pub struct JobStat {
     pub handle: JobHandle,
     /// The job's label.
     pub label: String,
-    /// Where the job is in its lifecycle.
-    pub phase: JobPhase,
     /// Executor slices dispatched to the job so far.
     pub slices: u64,
     /// Search rounds advanced so far, summed over the job's members.
@@ -486,10 +466,12 @@ struct MemberSlot {
 /// configurations.
 type PendingJob = (Arc<Program>, GoalSpec, Vec<(String, EsdOptions)>);
 
-/// Internal per-job bookkeeping.
+/// Internal per-job bookkeeping. The lifecycle is read from the fields that
+/// encode it: a job is queued while `pending` is `Some`, finished once
+/// `finished_verdict` is `Some`, and running otherwise.
 struct JobSlot {
     label: String,
-    /// `Some` while the job is queued; taken at admission.
+    /// `Some` while the job is queued; taken at admission (or cancel).
     pending: Option<PendingJob>,
     members: Vec<MemberSlot>,
     observer: Option<Box<dyn Observer>>,
@@ -498,7 +480,6 @@ struct JobSlot {
     admitted_at: Option<Instant>,
     next_member: usize,
     slices: u64,
-    phase: JobPhase,
     outcome: Option<JobOutcome>,
     /// Terminal totals, frozen at finalize so [`JobExecutor::stats`] and
     /// [`JobExecutor::status`] stay exact after the outcome has been
@@ -509,17 +490,31 @@ struct JobSlot {
 }
 
 impl JobSlot {
+    fn is_queued(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    fn is_finished(&self) -> bool {
+        self.finished_verdict.is_some()
+    }
+
+    fn is_running(&self) -> bool {
+        !self.is_queued() && !self.is_finished()
+    }
+
     fn rounds(&self) -> u64 {
-        match self.phase {
-            JobPhase::Finished => self.finished_rounds,
-            _ => self.members.iter().map(|m| m.session.rounds()).sum(),
+        if self.is_finished() {
+            self.finished_rounds
+        } else {
+            self.members.iter().map(|m| m.session.rounds()).sum()
         }
     }
 
     fn wall(&self) -> Duration {
-        match self.phase {
-            JobPhase::Finished => self.finished_wall,
-            _ => self.admitted_at.map(|t| t.elapsed()).unwrap_or_default(),
+        if self.is_finished() {
+            self.finished_wall
+        } else {
+            self.admitted_at.map(|t| t.elapsed()).unwrap_or_default()
         }
     }
 
@@ -552,6 +547,9 @@ pub type PendingJobSnapshot = (Program, GoalSpec, Vec<(String, EsdOptions)>);
 
 /// The durable state of one job slot, part of an [`ExecutorSnapshot`].
 ///
+/// The lifecycle is not stored separately: a job is queued while `pending`
+/// is `Some`, finished once `finished_verdict` is `Some`, running otherwise.
+///
 /// Wall-clock anchors are stored relative to the checkpoint instant
 /// (`deadline_rel_nanos`, `admitted_elapsed`) and rebased to a common *now*
 /// at restore, so the relative ordering [`DeadlineFirst`] depends on — and
@@ -577,8 +575,6 @@ pub struct JobSnapshot {
     pub next_member: usize,
     /// Executor slices dispatched to the job.
     pub slices: u64,
-    /// The job's lifecycle phase.
-    pub phase: JobPhase,
     /// The terminal outcome, if finished and not yet taken.
     pub outcome: Option<JobOutcome>,
     /// Terminal round totals frozen when the job was finalized.
@@ -663,6 +659,9 @@ pub struct JobExecutor {
     /// them in grant order, so results are byte-identical at any value.
     pool_size: usize,
     slots: Vec<JobSlot>,
+    /// How many slots are queued (`pending.is_some()`), kept current so
+    /// the count is O(1) for admission-bound checks on every submit.
+    queued: usize,
     slices_dispatched: u64,
     rounds_dispatched: u64,
     cancelled: u64,
@@ -736,6 +735,7 @@ impl JobExecutor {
             batch_width: 1,
             pool_size: 1,
             slots: Vec::new(),
+            queued: 0,
             slices_dispatched: 0,
             rounds_dispatched: 0,
             cancelled: 0,
@@ -796,8 +796,8 @@ impl JobExecutor {
     /// identical planned grants and merges results in grant order, so a
     /// job's synthesized execution file — and every executor statistic — is
     /// byte-identical at any pool size (pinned by `tests/executor.rs` and
-    /// the CI `ESD_POOL` matrix). Cross-job parallelism composes with the
-    /// engine's own per-job worker pool ([`EsdOptions::threads`]).
+    /// the CI `ESD_POOL` matrix). This is the only worker pool: each job's
+    /// search runs on whichever worker its slice lands on.
     pub fn pool_size(mut self, n: usize) -> Self {
         self.pool_size = if n == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -888,6 +888,7 @@ impl JobExecutor {
                 deadline: spec.deadline,
             });
         }
+        self.queued += 1;
         self.slots.push(JobSlot {
             label: spec.label,
             pending: Some((spec.program, spec.goal, members)),
@@ -898,7 +899,6 @@ impl JobExecutor {
             admitted_at: None,
             next_member: 0,
             slices: 0,
-            phase: JobPhase::Queued,
             outcome: None,
             finished_rounds: 0,
             finished_wall: Duration::ZERO,
@@ -942,37 +942,12 @@ impl JobExecutor {
     /// On a handle from a different executor.
     pub fn status(&self, handle: JobHandle) -> JobStatus {
         let slot = &self.slots[handle.0 as usize];
-        match slot.phase {
-            JobPhase::Queued => JobStatus::Queued,
-            JobPhase::Running => JobStatus::Running { progress: slot.progress() },
-            JobPhase::Finished => {
-                match slot.finished_verdict.expect("finished jobs freeze their verdict") {
-                    JobVerdict::Cancelled => JobStatus::Cancelled,
-                    verdict => JobStatus::Finished { verdict },
-                }
-            }
+        match slot.finished_verdict {
+            Some(JobVerdict::Cancelled) => JobStatus::Cancelled,
+            Some(verdict) => JobStatus::Finished { verdict },
+            None if slot.is_queued() => JobStatus::Queued,
+            None => JobStatus::Running { progress: slot.progress() },
         }
-    }
-
-    /// The job's current lifecycle phase.
-    ///
-    /// # Panics
-    /// On a handle from a different executor.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use JobExecutor::status — one JobStatus across executor, Service and wire"
-    )]
-    pub fn poll(&self, handle: JobHandle) -> JobPhase {
-        self.slots[handle.0 as usize].phase
-    }
-
-    /// The job's terminal outcome, once finished.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use JobExecutor::status for the verdict, JobExecutor::take for the outcome"
-    )]
-    pub fn outcome(&self, handle: JobHandle) -> Option<&JobOutcome> {
-        self.slots[handle.0 as usize].outcome.as_ref()
     }
 
     /// Removes and returns the job's terminal outcome (subsequent calls
@@ -986,23 +961,29 @@ impl JobExecutor {
     /// outcome). Returns `true` if the job was still pending or running.
     pub fn cancel(&mut self, handle: JobHandle) -> bool {
         let idx = handle.0 as usize;
-        match self.slots[idx].phase {
-            JobPhase::Finished => false,
-            JobPhase::Queued | JobPhase::Running => {
-                if self.durable.is_some() {
-                    self.journal_append(&JournalRecord::Cancel { handle: handle.0 });
-                }
-                self.slots[idx].pending = None;
-                self.cancelled += 1;
-                self.finalize(idx, JobVerdict::Cancelled);
-                true
-            }
+        if self.slots[idx].is_finished() {
+            return false;
         }
+        if self.durable.is_some() {
+            self.journal_append(&JournalRecord::Cancel { handle: handle.0 });
+        }
+        if self.slots[idx].pending.take().is_some() {
+            self.queued -= 1;
+        }
+        self.cancelled += 1;
+        self.finalize(idx, JobVerdict::Cancelled);
+        true
+    }
+
+    /// How many submitted jobs are waiting for admission (O(1), unlike
+    /// [`stats`](Self::stats), which summarizes every job).
+    pub fn queued(&self) -> usize {
+        self.queued
     }
 
     /// True while any job is queued or running.
     pub fn has_work(&self) -> bool {
-        self.slots.iter().any(|s| s.phase != JobPhase::Finished)
+        self.slots.iter().any(|s| !s.is_finished())
     }
 
     /// Dispatches one slice *batch*: admits queued jobs up to the admission
@@ -1012,8 +993,8 @@ impl JobExecutor {
     /// in grant order — finalizing any job that reached a terminal state.
     /// Returns `false` when no job is runnable (the executor is idle).
     ///
-    /// At the default width of 1 this is exactly the classic
-    /// one-grant-per-slice loop.
+    /// At the default width of 1 this is the classic one-grant-per-slice
+    /// loop; it is journaled as a one-element batch like any other width.
     pub fn run_slice(&mut self) -> bool {
         self.admit();
         let views = self.runnable_views();
@@ -1024,14 +1005,7 @@ impl JobExecutor {
         if self.durable.is_some() {
             // Write-ahead: the whole batch is durable before any slice
             // runs, so a crash mid-batch replays it instead of losing it.
-            let record = match grants.as_slice() {
-                // Width-1 executors keep the classic per-grant record.
-                [(handle, rounds)] if self.batch_width == 1 => {
-                    JournalRecord::SliceGrant { handle: *handle, rounds: *rounds }
-                }
-                _ => JournalRecord::BatchGrant { grants: grants.clone() },
-            };
-            self.journal_append(&record);
+            self.journal_append(&JournalRecord::BatchGrant { grants: grants.clone() });
         }
         let dispatched = grants.len() as u64;
         self.execute_batch(&grants);
@@ -1160,7 +1134,7 @@ impl JobExecutor {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.phase == JobPhase::Running)
+            .filter(|(_, s)| s.is_running())
             .map(|(i, s)| JobView {
                 handle: JobHandle(i as u64),
                 priority: s.priority,
@@ -1188,15 +1162,16 @@ impl JobExecutor {
             jobs: Vec::with_capacity(self.slots.len()),
         };
         for (i, slot) in self.slots.iter().enumerate() {
-            match slot.phase {
-                JobPhase::Queued => stats.queued += 1,
-                JobPhase::Running => stats.running += 1,
-                JobPhase::Finished => stats.finished += 1,
+            if slot.is_queued() {
+                stats.queued += 1;
+            } else if slot.is_finished() {
+                stats.finished += 1;
+            } else {
+                stats.running += 1;
             }
             stats.jobs.push(JobStat {
                 handle: JobHandle(i as u64),
                 label: slot.label.clone(),
-                phase: slot.phase,
                 slices: slot.slices,
                 rounds: slot.rounds(),
                 wall: slot.wall(),
@@ -1209,16 +1184,15 @@ impl JobExecutor {
     /// Admission runs the job's static phase — shared across its members —
     /// and starts its wall clock.
     fn admit(&mut self) {
-        let mut running = self.slots.iter().filter(|s| s.phase == JobPhase::Running).count();
+        let mut running = self.slots.iter().filter(|s| s.is_running()).count();
         for idx in 0..self.slots.len() {
             if running >= self.max_running {
                 break;
             }
-            if self.slots[idx].phase != JobPhase::Queued {
+            let Some((program, goal, members)) = self.slots[idx].pending.take() else {
                 continue;
-            }
-            let (program, goal, members) =
-                self.slots[idx].pending.take().expect("queued jobs keep their spec");
+            };
+            self.queued -= 1;
             let admitted_at = Instant::now();
             // One static phase per job, over every goal location, shared by
             // all members — exactly what Portfolio::run always did.
@@ -1242,21 +1216,11 @@ impl JobExecutor {
                 })
                 .collect();
             slot.admitted_at = Some(admitted_at);
-            slot.phase = JobPhase::Running;
             running += 1;
         }
     }
 
-    /// Advances the job's next runnable member by `rounds` (inline, no
-    /// pool): exactly one planned-and-merged slice. Used by the width-1
-    /// [`SliceGrant`](JournalRecord::SliceGrant) replay path.
-    fn advance(&mut self, idx: usize, rounds: u64) {
-        let slot = &mut self.slots[idx];
-        let run = run_member_slice(&mut slot.members, slot.next_member, rounds);
-        self.merge_slice(idx, run);
-    }
-
-    /// Moves a job to [`JobPhase::Finished`]: cancels still-running member
+    /// Finishes a job: cancels still-running member
     /// sessions, assembles the portfolio-shaped [`JobOutcome`], and fires
     /// the job observer's `on_finish`.
     fn finalize(&mut self, idx: usize, verdict: JobVerdict) {
@@ -1319,7 +1283,6 @@ impl JobExecutor {
         slot.finished_rounds = rounds_total;
         slot.finished_wall = wall;
         slot.finished_verdict = Some(verdict);
-        slot.phase = JobPhase::Finished;
         if let Some(observer) = &mut slot.observer {
             let status = finish_status
                 .unwrap_or_else(|| SessionStatus::Cancelled(esd_symex::SearchStats::default()));
@@ -1398,7 +1361,6 @@ impl JobExecutor {
                 admitted_elapsed: slot.admitted_at.map(|t| t.elapsed()),
                 next_member: slot.next_member,
                 slices: slot.slices,
-                phase: slot.phase,
                 outcome: slot.outcome.clone(),
                 finished_rounds: slot.finished_rounds,
                 finished_wall: slot.finished_wall,
@@ -1438,7 +1400,7 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> Result<JobExecutor, Recovery
         .ok_or_else(|| RecoveryError::UnknownPolicy(snapshot.policy.clone()))?;
     policy.set_rotation(snapshot.rotation.map(JobHandle));
     let now = Instant::now();
-    let slots = snapshot
+    let slots: Vec<JobSlot> = snapshot
         .jobs
         .iter()
         .map(|job| JobSlot {
@@ -1470,7 +1432,6 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> Result<JobExecutor, Recovery
                 .map(|elapsed| now.checked_sub(elapsed).unwrap_or(now)),
             next_member: job.next_member,
             slices: job.slices,
-            phase: job.phase,
             outcome: job.outcome.clone(),
             finished_rounds: job.finished_rounds,
             finished_wall: job.finished_wall,
@@ -1478,6 +1439,7 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> Result<JobExecutor, Recovery
         })
         .collect();
     Ok(JobExecutor {
+        queued: slots.iter().filter(|s| s.is_queued()).count(),
         policy,
         base_slice: snapshot.base_slice,
         max_running: snapshot.max_running,
@@ -1523,26 +1485,6 @@ pub(crate) fn replay_records(
                 }
                 exec.submit(spec);
             }
-            JournalRecord::SliceGrant { handle, rounds } => {
-                exec.admit();
-                let views = exec.runnable_views();
-                if views.is_empty() {
-                    return Err(RecoveryError::Divergence(format!(
-                        "journaled grant to job {handle} but no job is runnable"
-                    )));
-                }
-                let (choice, granted) = exec.policy.next_slice(&views, exec.base_slice);
-                let granted = granted.max(1);
-                let chosen = views[choice.min(views.len() - 1)].handle;
-                if chosen.0 != *handle || granted != *rounds {
-                    return Err(RecoveryError::Divergence(format!(
-                        "journal grants {rounds} rounds to job {handle}, replayed policy \
-                         grants {granted} to job {}",
-                        chosen.0
-                    )));
-                }
-                exec.advance(chosen.0 as usize, granted);
-            }
             JournalRecord::BatchGrant { grants } => {
                 exec.admit();
                 let views = exec.runnable_views();
@@ -1577,10 +1519,7 @@ pub(crate) fn replay_records(
                         "journaled finalize of unknown job {handle}"
                     )));
                 };
-                let actual = match slot.phase {
-                    JobPhase::Finished => slot.outcome.as_ref().map(|o| o.verdict),
-                    _ => None,
-                };
+                let actual = slot.outcome.as_ref().map(|o| o.verdict);
                 if actual != Some(*verdict) {
                     return Err(RecoveryError::Divergence(format!(
                         "journal finalizes job {handle} as {verdict:?}, replay reached \
@@ -1668,7 +1607,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_poll_take_lifecycle() {
+    fn submit_status_take_lifecycle() {
         let (p, loc) = crashy("exec_lifecycle", 9);
         let mut exec = JobExecutor::round_robin();
         let h = exec.submit(JobSpec::new("job", &p, GoalSpec::Crash { loc }));
@@ -1811,22 +1750,6 @@ mod tests {
         );
         let wall_after: Vec<Duration> = stats.jobs.iter().map(|j| j.wall).collect();
         assert_eq!(wall_before, wall_after, "finished wall times must not drift");
-    }
-
-    /// The deprecated `poll`/`outcome` shims keep answering exactly as the
-    /// unified [`JobStatus`] surface does, for one release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_poll_and_outcome_shims_agree_with_status() {
-        let (p, loc) = crashy("exec_shims", 6);
-        let mut exec = JobExecutor::round_robin();
-        let h = exec.submit(JobSpec::new("job", &p, GoalSpec::Crash { loc }));
-        assert_eq!(exec.poll(h), JobPhase::Queued);
-        assert_eq!(exec.status(h), JobStatus::Queued);
-        exec.run_until_idle();
-        assert_eq!(exec.poll(h), JobPhase::Finished);
-        assert_eq!(exec.outcome(h).unwrap().verdict, JobVerdict::Found);
-        assert_eq!(exec.status(h), JobStatus::Finished { verdict: JobVerdict::Found });
     }
 
     /// Runs a three-job batch at the given (batch width, pool size) and

@@ -67,19 +67,10 @@ pub enum JournalRecord {
         /// is not part of the synthesized result.
         deadline: Option<Duration>,
     },
-    /// The fairness policy granted a slice to a job. Written *before* the
-    /// slice runs (write-ahead); replay re-drives the policy and verifies
-    /// it makes the identical grant.
-    SliceGrant {
-        /// The chosen job's handle.
-        handle: u64,
-        /// The granted slice length in search rounds.
-        rounds: u64,
-    },
-    /// The fairness policy granted a whole batch of slices to distinct jobs
-    /// (executors with `batch_width > 1`). Written *before* any slice runs;
-    /// replay re-plans the batch with the restored policy and verifies the
-    /// identical grant vector.
+    /// The fairness policy granted a batch of slices to distinct jobs (one
+    /// grant at the default `batch_width` of 1). Written *before* any slice
+    /// runs (write-ahead); replay re-plans the batch with the restored
+    /// policy and verifies the identical grant vector.
     BatchGrant {
         /// `(handle, rounds)` per grant, in planning order.
         grants: Vec<(u64, u64)>,
@@ -293,7 +284,7 @@ mod tests {
     use super::*;
 
     fn grant(handle: u64, rounds: u64) -> JournalRecord {
-        JournalRecord::SliceGrant { handle, rounds }
+        JournalRecord::BatchGrant { grants: vec![(handle, rounds)] }
     }
 
     #[test]
@@ -307,9 +298,7 @@ mod tests {
         assert_eq!(scan.valid_len, bytes.len());
         assert_eq!(scan.records.len(), 5);
         match &scan.records[3] {
-            JournalRecord::SliceGrant { handle, rounds } => {
-                assert_eq!((*handle, *rounds), (3, 103))
-            }
+            JournalRecord::BatchGrant { grants } => assert_eq!(grants, &[(3, 103)]),
             other => panic!("unexpected record {other:?}"),
         }
     }

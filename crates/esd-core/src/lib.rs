@@ -52,8 +52,8 @@ pub mod triage;
 pub use execfile::{InputEntry, SynthesizedExecution};
 pub use executor::{
     DeadlineFirst, ExecutorSnapshot, ExecutorStats, FairnessPolicy, JobExecutor, JobHandle,
-    JobOutcome, JobPhase, JobProgress, JobSnapshot, JobSpec, JobStat, JobStatus, JobVerdict,
-    JobView, RoundRobin, WeightedByPriority,
+    JobOutcome, JobProgress, JobSnapshot, JobSpec, JobStat, JobStatus, JobVerdict, JobView,
+    RoundRobin, WeightedByPriority,
 };
 pub use journal::{
     JournalDamage, JournalRecord, JournalScan, JournalWriter, Recovery, RecoveryError,

@@ -262,14 +262,6 @@ impl EsdOptionsBuilder {
         self
     }
 
-    /// Worker threads for multi-state frontier batches (the beam frontier);
-    /// `1` stays on the calling thread, `0` uses all available parallelism.
-    /// The thread count never changes the synthesized execution.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
-        self
-    }
-
     /// Wall-clock deadline: the search stops with
     /// [`SessionStatus::DeadlineExpired`] (or
     /// [`SynthesisError::DeadlineExpired`](crate::SynthesisError) from the
@@ -381,7 +373,6 @@ impl SynthesisSession {
             race_preemptions: options.with_race_detection,
             static_pruning: options.static_pruning,
             race_candidate_pruning: options.race_candidate_pruning,
-            threads: options.threads,
             ..EngineConfig::default()
         };
         let engine = Engine::new(program, analysis, goal, config);
@@ -700,7 +691,6 @@ mod tests {
             .static_pruning(false)
             .race_candidate_pruning(false)
             .deadline(Duration::from_secs(9))
-            .threads(4)
             .build();
         assert_eq!(options.max_steps, 123);
         assert_eq!(options.max_states, 45);
@@ -713,7 +703,6 @@ mod tests {
         assert!(!options.static_pruning);
         assert!(!options.race_candidate_pruning);
         assert_eq!(options.deadline, Some(Duration::from_secs(9)));
-        assert_eq!(options.threads, 4);
     }
 
     #[test]

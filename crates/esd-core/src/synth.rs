@@ -63,12 +63,6 @@ pub struct EsdOptions {
     /// Optional wall-clock deadline for the search, measured from session
     /// creation.
     pub deadline: Option<Duration>,
-    /// Worker threads for advancing multi-state frontier batches (the beam
-    /// frontier): `1` runs everything on the calling thread, `0` uses all
-    /// available parallelism. Purely a wall-clock knob — the synthesized
-    /// execution is byte-identical for every thread count (see
-    /// `esd_symex::EngineConfig::threads`).
-    pub threads: usize,
 }
 
 impl Default for EsdOptions {
@@ -85,7 +79,6 @@ impl Default for EsdOptions {
             static_pruning: true,
             race_candidate_pruning: true,
             deadline: None,
-            threads: 1,
         }
     }
 }

@@ -19,6 +19,13 @@ pub enum ServiceError {
         /// retry is likely to be admitted.
         retry_after_slices: u64,
     },
+    /// The submitted program failed IR validation (a dangling block
+    /// target, an out-of-range register, …), or the goal names no location
+    /// or one outside the program, so no job was created.
+    Invalid {
+        /// Every problem found, rendered and `; `-joined.
+        detail: String,
+    },
     /// The ticket does not name a job on this service.
     UnknownTicket {
         /// The offending ticket id.
@@ -46,6 +53,7 @@ impl fmt::Display for ServiceError {
                 f,
                 "service overloaded: submit queue full, retry after ~{retry_after_slices} slices"
             ),
+            ServiceError::Invalid { detail } => write!(f, "invalid program: {detail}"),
             ServiceError::UnknownTicket { ticket } => {
                 write!(f, "unknown job ticket {ticket}")
             }

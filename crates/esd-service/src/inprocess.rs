@@ -120,12 +120,35 @@ impl InProcessService {
 
 impl Service for InProcessService {
     fn submit(&mut self, request: JobRequest) -> Result<JobTicket, ServiceError> {
-        let stats = self.executor.stats();
-        if stats.queued >= self.max_pending {
+        let queued = self.executor.queued();
+        if queued >= self.max_pending {
             // The backlog that must drain before a retry can be admitted:
             // every queued job needs at least one slice to start, so the
             // queue length is the floor of the wait.
-            return Err(ServiceError::Overloaded { retry_after_slices: stats.queued as u64 });
+            return Err(ServiceError::Overloaded { retry_after_slices: queued as u64 });
+        }
+        // Malformed IR or a goal outside the program would panic the static
+        // phase at admission (it indexes blocks and registers unchecked),
+        // taking the daemon loop with it.
+        let program = &request.program;
+        if let Err(errors) = esd_ir::validate::validate(program) {
+            let detail = errors.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("; ");
+            return Err(ServiceError::Invalid { detail });
+        }
+        let goal_locs = request.goal.primary_locs();
+        if goal_locs.is_empty() {
+            return Err(ServiceError::Invalid { detail: "the goal names no location".into() });
+        }
+        let outside = goal_locs.into_iter().find(|loc| {
+            program
+                .functions
+                .get(loc.func.0 as usize)
+                .and_then(|f| f.blocks.get(loc.block.0 as usize))
+                .is_none_or(|b| loc.idx as usize > b.insts.len())
+        });
+        if let Some(loc) = outside {
+            let detail = format!("goal location {loc} is not in the program");
+            return Err(ServiceError::Invalid { detail });
         }
         let feed: EventFeed = Arc::new(Mutex::new(VecDeque::new()));
         let spec = request.into_spec().observer(Box::new(FeedObserver(feed.clone())));

@@ -1,4 +1,4 @@
-//! The multi-threaded symbolic-execution search engine.
+//! The symbolic-execution search engine.
 //!
 //! This is the dynamic phase of execution synthesis (§3.3–§4): the program is
 //! executed with symbolic inputs; execution states fork at branches on
@@ -17,24 +17,20 @@
 //! phase — or the DFS / BFS / RandomPath baselines, optionally with
 //! Chess-style preemption bounding (the KC baseline).
 //!
-//! # Threading model
+//! # Search model
 //!
-//! The engine is split into a **shared search pool** (this module: the state
-//! map, the frontier, the dedup fingerprints, the statistics) and a
-//! **per-worker `Stepper`** (the crate-private `stepper` module) that advances individual
-//! states with its own private [`Solver`](crate::solver::Solver). One
+//! The engine is split into a **search pool** (this module: the state map,
+//! the frontier, the dedup fingerprints, the statistics) and a `Stepper`
+//! (the crate-private `stepper` module) that advances individual states
+//! with its own [`Solver`](crate::solver::Solver). One
 //! [`Engine::step_round`] pops a whole *batch* from the frontier
 //! ([`SearchFrontier::pop_batch`]) — a single state for the single-state
 //! frontiers, the entire beam for [`FrontierKind::Beam`](crate::frontier::FrontierKind::Beam) — advances every
-//! state of the batch on [scoped worker
-//! threads](std::thread::scope) when [`EngineConfig::threads`] allows, and
-//! then merges the recorded effects (forked states, statistics, flagged
-//! races, other bugs, snapshot promotions) back into the pool **in
-//! deterministic batch order**. Steppers never touch shared mutable search
-//! state and solver queries are deterministic per call, so the thread count
-//! is unobservable: a `threads = N` run synthesizes the byte-identical
-//! execution file of a `threads = 1` run (pinned by the
-//! `parallel_beam_matches_single_threaded_run` golden test).
+//! state of the batch by one turn, and then merges the recorded effects
+//! (forked states, statistics, flagged races, other bugs, snapshot
+//! promotions) back into the pool **in deterministic batch order**. The
+//! stepper only records effects and the pool changes only in the merge, so
+//! a beam is committed before any of its states is advanced.
 
 use crate::frontier::{FrontierSnapshot, SearchConfig, SearchFrontier, StatePriority};
 use crate::solver::SolverConfig;
@@ -106,22 +102,6 @@ pub struct EngineConfig {
     /// without it, as Klee/Chess enumerate paths and interleavings without
     /// state deduplication.
     pub dedup_states: bool,
-    /// Worker threads used to advance a multi-state frontier batch (a beam):
-    /// `1` (the default) steps every batch on the calling thread, `0` uses
-    /// all available parallelism, `n > 1` uses up to `n` workers. The thread
-    /// count never changes the search — batches are merged in deterministic
-    /// batch order — so it is purely a wall-clock knob.
-    pub threads: usize,
-    /// How many micro-steps each state of a *multi-state* batch advances per
-    /// round. Single-state batches (every non-beam frontier, and a beam that
-    /// drained to one live state) always advance exactly one micro-step, so
-    /// the single-state frontiers keep their one-instruction-per-selection
-    /// granularity. The burst is the amortization unit of the worker pool:
-    /// a beam is committed before it is drained — nothing is re-ranked
-    /// between the instructions of a batch even sequentially — so larger
-    /// bursts buy less scheduling overhead per instruction without changing
-    /// the selection granularity in rounds.
-    pub batch_burst: u32,
     /// Consult the static phase's interval-analysis branch verdicts before
     /// forking: branches proven one-sided for *all* inputs take that side
     /// without a solver query (the taken side's constraint is still
@@ -153,8 +133,6 @@ impl Default for EngineConfig {
             schedule_bias: true,
             race_preemptions: false,
             dedup_states: true,
-            threads: 1,
-            batch_burst: 32,
             static_pruning: true,
             race_candidate_pruning: true,
             solver: SolverConfig::default(),
@@ -279,6 +257,15 @@ impl SearchOutcome {
 
 const SCHED_WEIGHT: u64 = 1_000_000_000;
 
+/// How many micro-steps each state of a *multi-state* batch advances per
+/// round. Single-state batches (every non-beam frontier, and a beam that
+/// drained to one live state) always advance exactly one micro-step, so the
+/// single-state frontiers keep their one-instruction-per-selection
+/// granularity. A beam is committed before it is drained — nothing is
+/// re-ranked between the instructions of a batch — so the burst only sets
+/// how many instructions one beam round covers.
+const BEAM_BURST: u32 = 32;
+
 /// A complete, serializable image of an [`Engine`] mid-search, captured by
 /// [`Engine::snapshot`] and rebuilt by [`Engine::restore`].
 ///
@@ -287,7 +274,7 @@ const SCHED_WEIGHT: u64 = 1_000_000_000;
 /// the dedup fingerprints and the statistics — but *not* the program or the
 /// static analysis, which are cheap to recompute (or already loaded) on the
 /// restoring side and are passed back into [`Engine::restore`]. The derived
-/// oracle, queue targets and resolved thread count are recomputed exactly as
+/// oracle and queue targets are recomputed exactly as
 /// [`Engine::new`] computes them, so a restored engine's continued search is
 /// step-for-step identical to the captured engine's.
 ///
@@ -323,8 +310,8 @@ pub struct EngineSnapshot {
 /// sessions, portfolio runners — can own an engine outright. The search is
 /// re-entrant: [`Engine::step_round`] advances exactly one frontier batch
 /// and returns a [`StepOutcome`]; [`Engine::run`] is a thin loop over it.
-/// State advancement itself lives in the per-worker `Stepper`; see the
-/// [module docs](self) for the threading model.
+/// State advancement itself lives in the `Stepper`; see the
+/// [module docs](self) for the search model.
 pub struct Engine {
     program: Arc<Program>,
     analysis: Arc<StaticAnalysis>,
@@ -341,10 +328,6 @@ pub struct Engine {
     queue_targets: Vec<Vec<Loc>>,
     /// The pluggable worklist ordering the exploration.
     frontier: Box<dyn SearchFrontier>,
-    /// [`EngineConfig::threads`] with `0` ("auto") resolved to the machine's
-    /// available parallelism once, at construction — `worker_count` sits on
-    /// the per-round hot path.
-    resolved_threads: usize,
     stats: SearchStats,
     seen_fingerprints: std::collections::HashSet<u64>,
     /// Locations of faults found that did not match the goal.
@@ -370,11 +353,6 @@ impl Engine {
         }
         queue_targets.push(goal.primary_locs());
         let frontier = config.search.build(queue_targets.len());
-        let resolved_threads = if config.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            config.threads
-        };
         Engine {
             program,
             analysis,
@@ -386,7 +364,6 @@ impl Engine {
             started: false,
             queue_targets,
             frontier,
-            resolved_threads,
             stats: SearchStats::default(),
             seen_fingerprints: std::collections::HashSet::new(),
             other_bugs: Vec::new(),
@@ -441,9 +418,7 @@ impl Engine {
     /// rounds of several engines, stop between rounds (the partial
     /// [`Engine::stats`] stay accessible), and resume later — the search
     /// trajectory is exactly the one [`Engine::run`] would take, because
-    /// `run` *is* a loop over `step_round`. The trajectory is also
-    /// independent of [`EngineConfig::threads`]: batch results are merged in
-    /// batch order, whichever worker produced them first.
+    /// `run` *is* a loop over `step_round`.
     pub fn step_round(&mut self) -> StepOutcome {
         if !self.started {
             self.started = true;
@@ -464,7 +439,7 @@ impl Engine {
         }
         // Single-state batches keep the historical one-instruction-per-
         // selection granularity; only committed multi-state beams burst.
-        let burst = if jobs.len() > 1 { self.config.batch_burst.max(1) } else { 1 };
+        let burst = if jobs.len() > 1 { BEAM_BURST } else { 1 };
         let results = self.run_turns(jobs, burst);
         self.merge(results)
     }
@@ -509,58 +484,11 @@ impl Engine {
         &self.analysis
     }
 
-    // ---- worker fan-out -----------------------------------------------------
-
     /// Advances every `(id, state)` job by one turn of up to `burst`
-    /// micro-steps, fanning the jobs out over scoped worker threads when the
-    /// configuration allows, and returns the results *in job order* (workers
-    /// get contiguous chunks, so concatenating chunk results restores the
-    /// batch order regardless of which worker finished first).
+    /// micro-steps on one stepper, returning the results in job order.
     fn run_turns(&self, jobs: Vec<(u64, ExecState)>, burst: u32) -> Vec<TurnResult> {
-        let workers = self.worker_count(jobs.len());
-        if workers <= 1 {
-            let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.config);
-            return jobs.into_iter().map(|(id, state)| stepper.turn(id, state, burst)).collect();
-        }
-        let chunk_size = jobs.len().div_ceil(workers);
-        let mut chunks: Vec<Vec<(u64, ExecState)>> = Vec::with_capacity(workers);
-        let mut it = jobs.into_iter();
-        loop {
-            let chunk: Vec<(u64, ExecState)> = it.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let (program, analysis) = (&self.program, &self.analysis);
-        let (goal, config) = (&self.goal, &self.config);
-        let run_chunk = |chunk: Vec<(u64, ExecState)>| {
-            let mut stepper = Stepper::new(program, analysis, goal, config);
-            chunk.into_iter().map(|(id, state)| stepper.turn(id, state, burst)).collect::<Vec<_>>()
-        };
-        // The calling thread is a worker too: spawn only `workers - 1`
-        // threads and step the first chunk inline, so the pool costs one
-        // spawn less per round.
-        let first = chunks.remove(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    let run_chunk = &run_chunk;
-                    scope.spawn(move || run_chunk(chunk))
-                })
-                .collect();
-            let mut results = run_chunk(first);
-            for handle in handles {
-                results.extend(handle.join().expect("engine worker panicked"));
-            }
-            results
-        })
-    }
-
-    /// The number of workers a batch of `batch_len` states may use.
-    fn worker_count(&self, batch_len: usize) -> usize {
-        self.resolved_threads.min(batch_len)
+        let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.config);
+        jobs.into_iter().map(|(id, state)| stepper.turn(id, state, burst)).collect()
     }
 
     // ---- deterministic merge ------------------------------------------------
@@ -570,8 +498,7 @@ impl Engine {
     /// admission (dedup fingerprint + pool cap, assigning state ids in
     /// creation order), then the surviving parent re-enters the frontier.
     /// The first goal-reaching result in batch order wins; later results of
-    /// the same batch are discarded (deterministically — batch order does
-    /// not depend on the worker count).
+    /// the same batch are discarded.
     fn merge(&mut self, results: Vec<TurnResult>) -> StepOutcome {
         let mut pending: VecDeque<TurnResult> = results.into();
         while let Some(mut result) = pending.pop_front() {

@@ -1,17 +1,14 @@
-//! The per-worker state stepper: the micro-step interpreter of the search
-//! engine, factored so a frontier batch can be advanced on a worker pool.
+//! The state stepper: the micro-step interpreter of the search engine,
+//! factored out of the search pool.
 //!
-//! A [`Stepper`] owns everything one worker needs to advance execution states
-//! *independently* of the shared search pool: immutable views of the program,
-//! the static analysis and the goal, plus its **own** [`Solver`] (solver
-//! queries are deterministic per call, so workers never contend on — or
-//! diverge through — shared solver state). Everything a micro-step would have
-//! written into the engine — forked states, schedule-snapshot promotions,
-//! flagged races, other bugs found, executed steps, solver queries — is
-//! *recorded* into a [`TurnResult`] instead, and the engine merges the
-//! results of a batch back into the shared pool in deterministic batch order
-//! (see [`crate::engine`]). That split is what makes a `threads = N` run
-//! produce the byte-identical execution of a `threads = 1` run.
+//! A [`Stepper`] owns everything needed to advance execution states
+//! *independently* of the search pool: immutable views of the program, the
+//! static analysis and the goal, plus its **own** [`Solver`]. Everything a
+//! micro-step would have written into the engine — forked states,
+//! schedule-snapshot promotions, flagged races, other bugs found, executed
+//! steps, solver queries — is *recorded* into a [`TurnResult`] instead, and
+//! the engine merges the results of a batch back into the pool in
+//! deterministic batch order (see [`crate::engine`]).
 
 use crate::engine::{EngineConfig, GoalSpec};
 use crate::expr::{SymExpr, SymValue, SymVarInfo};
@@ -127,7 +124,7 @@ pub(crate) struct TurnResult {
     pub preemptions_pruned_static: u64,
 }
 
-/// A worker's stepper: immutable views of the search job plus a private
+/// A stepper: immutable views of the search job plus a private
 /// solver and the per-turn effect accumulators.
 pub(crate) struct Stepper<'a> {
     program: &'a Arc<Program>,
@@ -146,7 +143,7 @@ pub(crate) struct Stepper<'a> {
 }
 
 impl<'a> Stepper<'a> {
-    /// Creates a stepper for one worker; `turn` may be called repeatedly.
+    /// Creates a stepper; `turn` may be called repeatedly.
     pub fn new(
         program: &'a Arc<Program>,
         analysis: &'a Arc<StaticAnalysis>,

@@ -98,7 +98,7 @@ pub use esd_core::executor;
 
 pub use esd_core::{
     BugKind, BugReport, Esd, EsdOptions, EsdOptionsBuilder, ExecutorSnapshot, ExecutorStats,
-    FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase, JobProgress, JobSpec, JobStatus,
+    FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobProgress, JobSpec, JobStatus,
     JobVerdict, JournalDamage, Observer, Portfolio, PortfolioResult, ProgressEvent, Recovery,
     RecoveryError, SessionSnapshot, SessionStatus, SnapshotError, SynthesisError, SynthesisSession,
     SynthesizedExecution,

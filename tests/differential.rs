@@ -9,9 +9,8 @@
 //! * every injected bug is found by at least one frontier within budget;
 //! * every reported goal matches the injected ground truth — zero false
 //!   positives;
-//! * each scenario's winning configuration synthesizes a byte-identical
-//!   execution file at 1, 2 and 8 engine threads, and the winner's
-//!   execution replays;
+//! * each scenario's winning configuration re-synthesizes a byte-identical
+//!   execution file, and the winner's execution replays;
 //! * a generated 12-job corpus pushed through the [`JobExecutor`] yields
 //!   identical per-job outcomes under every fairness policy.
 
@@ -30,7 +29,7 @@ fn smoke_config() -> CoverageConfig {
 
 /// The tentpole assertion set, via the same harness CI's `coverage-smoke`
 /// job gates on: full coverage, soundness against ground truth, and both
-/// halves of the determinism contract (engine threads and fairness
+/// halves of the determinism contract (re-synthesis and fairness
 /// policies).
 #[test]
 fn smoke_corpus_is_covered_soundly_and_deterministically() {
@@ -64,8 +63,8 @@ fn smoke_corpus_is_covered_soundly_and_deterministically() {
         .collect();
     assert!(
         nondeterministic.is_empty(),
-        "winners must emit byte-identical execution files at 1, 2 and 8 \
-         engine threads: {nondeterministic:?}"
+        "winners must re-synthesize byte-identical execution files: \
+         {nondeterministic:?}"
     );
 
     let policy_disagreements: Vec<&str> =

@@ -35,12 +35,6 @@ fn regen_requested() -> bool {
     std::env::var("ESD_REGEN_GOLDEN").ok().as_deref() == Some("1")
 }
 
-/// The engine thread count under test (the CI determinism matrix sets
-/// `ESD_THREADS` to 1, 2 and 8; the local default exercises 4 workers).
-fn env_threads() -> usize {
-    std::env::var("ESD_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(4)
-}
-
 /// Whether the static feasibility pass is on for this run (the CI
 /// determinism matrix pins one leg to `ESD_STATIC_PRUNING=0`; pruning must
 /// never change what is synthesized, so every leg reproduces the same
@@ -57,12 +51,11 @@ fn env_race_candidates() -> bool {
     std::env::var("ESD_RACE_CANDIDATES").ok().as_deref() != Some("0")
 }
 
-fn synthesize_beam(threads: usize) -> String {
+fn synthesize_beam() -> String {
     let w = paste_invalid_free();
     let esd = EsdOptions::builder()
         .max_steps(2_000_000)
         .frontier(FrontierKind::Beam { width: 16 })
-        .threads(threads)
         .static_pruning(env_static_pruning())
         .race_candidate_pruning(env_race_candidates())
         .synthesizer();
@@ -85,26 +78,23 @@ fn a_regenerate_fixture_when_requested() {
     let mut json = report.execution.to_json();
     json.push('\n');
     std::fs::write(fixture_path(), json).expect("fixture written");
-    // The beam fixture is regenerated single-threaded — the matrix test
-    // below proves every other thread count reproduces it.
-    std::fs::write(beam_fixture_path(), synthesize_beam(1)).expect("beam fixture written");
+    std::fs::write(beam_fixture_path(), synthesize_beam()).expect("beam fixture written");
 }
 
-/// Golden determinism of the multi-threaded beam engine: a fresh beam
-/// synthesis at the matrix thread count (`ESD_THREADS`) must reproduce the
-/// checked-in beam execution file byte for byte.
+/// Golden determinism of the beam engine's burst-and-merge path: a fresh
+/// beam synthesis must reproduce the checked-in beam execution file byte
+/// for byte.
 #[test]
-fn golden_beam_execution_file_matches_fresh_synthesis_at_env_threads() {
+fn golden_beam_execution_file_matches_fresh_synthesis() {
     if regen_requested() {
         return;
     }
-    let threads = env_threads();
     assert_eq!(
-        synthesize_beam(threads),
+        synthesize_beam(),
         BEAM_FIXTURE,
-        "a beam run at threads={threads} must reproduce the checked-in \
-         execution file byte for byte (regenerate intentionally with \
-         ESD_REGEN_GOLDEN=1 cargo test --test golden_execfile)"
+        "a beam run must reproduce the checked-in execution file byte for \
+         byte (regenerate intentionally with ESD_REGEN_GOLDEN=1 cargo test \
+         --test golden_execfile)"
     );
 }
 

@@ -103,7 +103,7 @@ struct RawEnvelope {
     payload: String,
 }
 
-/// Snapshots from a future format version fail with the typed
+/// Snapshots from a future (or a retired) format version fail with the typed
 /// [`SnapshotError::UnknownVersion`] — never a checksum error, a decode
 /// error or a panic (the version gate runs before everything else).
 #[test]
@@ -118,4 +118,9 @@ fn future_format_versions_are_rejected_with_a_typed_error() {
         Err(SnapshotError::UnknownVersion(SNAPSHOT_FORMAT_VERSION + 1)),
         "a bumped format version must be the reported error"
     );
+    // Format 4 predates the removal of the engine thread count and the
+    // stored job phase; its payloads are refused the same typed way.
+    envelope.format_version = 4;
+    let old = serde_json::to_string(&envelope).expect("envelope serializes");
+    assert_eq!(unseal(&old), Err(SnapshotError::UnknownVersion(4)));
 }

@@ -300,14 +300,18 @@ proptest! {
     /// of the original records — and never panics.
     #[test]
     fn journal_scan_survives_arbitrary_corruption(
-        grants in proptest::collection::vec((0u64..8, 1u64..512), 1..20),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u64..8, 1u64..512), 1..4),
+            1..20,
+        ),
         cut in 0usize..100_000,
         flip_at in 0usize..100_000,
         flip_bit in 0u32..8,
     ) {
-        let records: Vec<JournalRecord> = grants
-            .iter()
-            .map(|(h, r)| JournalRecord::SliceGrant { handle: *h, rounds: *r })
+        // Batches of width 1 (the default executor's) and wider.
+        let records: Vec<JournalRecord> = batches
+            .into_iter()
+            .map(|grants| JournalRecord::BatchGrant { grants })
             .collect();
         let frames: Vec<Vec<u8>> = records.iter().map(encode_frame).collect();
         let bytes: Vec<u8> = frames.concat();
@@ -517,11 +521,12 @@ fn wire_status(n: u64) -> esd::JobStatus {
 
 /// One of each `ServiceError` shape, chosen by `n`.
 fn wire_error(n: u64) -> esd::ServiceError {
-    match n % 5 {
+    match n % 6 {
         0 => esd::ServiceError::Overloaded { retry_after_slices: n },
         1 => esd::ServiceError::UnknownTicket { ticket: n },
         2 => esd::ServiceError::Transport { detail: format!("transport #{n}") },
         3 => esd::ServiceError::Protocol { detail: format!("protocol #{n}") },
+        4 => esd::ServiceError::Invalid { detail: format!("invalid #{n}") },
         _ => esd::ServiceError::Disconnected,
     }
 }

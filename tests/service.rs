@@ -4,10 +4,11 @@
 //! executor pool size — and the backpressure contract must hold: a full
 //! submit queue is a typed `Overloaded` error, never an OOM or a block.
 
+use esd::ir::{BlockId, FuncId, Loc, Terminator};
 use esd::service::{Daemon, InProcessService, JobRequest, ProgressUpdate, Service, ServiceError};
 use esd::workloads::real_bugs::paste_invalid_free;
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig, Workload};
-use esd::{EsdOptions, FrontierKind, JobExecutor, JobStatus, JobVerdict, RemoteClient};
+use esd::{EsdOptions, FrontierKind, GoalSpec, JobExecutor, JobStatus, JobVerdict, RemoteClient};
 use std::time::Duration;
 
 /// The executor pool size under test (the CI matrix sets `ESD_POOL` to
@@ -21,8 +22,8 @@ fn mkfifo() -> Workload {
 }
 
 /// The two e2e workloads: `mkfifo` on the default proximity frontier and
-/// `paste` on the multi-threaded beam engine (so the wire test also drives
-/// engine workers under the daemon).
+/// `paste` on the beam frontier (so the wire test also drives the engine's
+/// beam bursts under the daemon).
 fn requests() -> Vec<JobRequest> {
     let mkfifo = mkfifo();
     let paste = paste_invalid_free();
@@ -34,7 +35,6 @@ fn requests() -> Vec<JobRequest> {
                 EsdOptions::builder()
                     .max_steps(8_000_000)
                     .frontier(FrontierKind::Beam { width: 16 })
-                    .threads(2)
                     .build(),
             )
             .priority(2),
@@ -202,6 +202,53 @@ fn overloaded_crosses_the_wire_as_a_typed_error() {
         other => panic!("expected Overloaded over the wire, got {other:?}"),
     }
     client.cancel(first).expect("cancel");
+    client.shutdown_server().expect("shutdown");
+    server.join().expect("daemon thread");
+}
+
+/// A malformed program (here: a dangling block target), a goal outside the
+/// program or a goal with no location is refused at the front door with a typed `Invalid`,
+/// in-process and over UDS, instead of panicking the static phase at
+/// admission — and the same daemon goes on to
+/// synthesize a valid job.
+#[test]
+#[cfg(unix)]
+fn malformed_programs_are_typed_invalid_on_both_backends() {
+    let w = mkfifo();
+    let mut broken = w.program.clone();
+    let entry = broken.entry.0 as usize;
+    broken.functions[entry].blocks[0].term = Terminator::Br { target: BlockId(9999) };
+    let malformed = || JobRequest::new("broken", &broken, w.goal());
+
+    let mut local = InProcessService::new(JobExecutor::round_robin());
+    let local_err = local.submit(malformed()).expect_err("malformed IR must be refused");
+    assert!(matches!(local_err, ServiceError::Invalid { .. }), "got {local_err:?}");
+    assert!(local_err.to_string().starts_with("invalid program: "), "{local_err}");
+    let off_program = GoalSpec::Crash { loc: Loc::new(FuncId(9999), BlockId(0), 0) };
+    for goal in [off_program, GoalSpec::Deadlock { thread_locs: Vec::new() }] {
+        let refused = local.submit(JobRequest::new("bad-goal", &w.program, goal));
+        assert!(matches!(refused, Err(ServiceError::Invalid { .. })), "got {refused:?}");
+    }
+    assert!(!local.has_work(), "a refused submission creates no job");
+
+    let sock = std::env::temp_dir().join(format!("esd_svc_invalid_{}.sock", std::process::id()));
+    let mut daemon =
+        Daemon::bind_uds(&sock, InProcessService::new(JobExecutor::round_robin())).expect("bind");
+    let server = std::thread::spawn(move || daemon.run().expect("daemon run"));
+    let mut client = RemoteClient::connect_uds(&sock).expect("connect uds");
+    assert_eq!(client.submit(malformed()), Err(local_err), "the wire carries the same error");
+
+    let ticket = client
+        .submit(
+            JobRequest::new("mkfifo", &w.program, w.goal())
+                .options(EsdOptions::builder().max_steps(8_000_000).build()),
+        )
+        .expect("the daemon still accepts valid jobs");
+    while !client.poll(ticket).expect("wire poll").is_terminal() {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let outcome = client.take(ticket).expect("wire take").expect("terminal job");
+    assert_eq!(outcome.verdict, JobVerdict::Found);
     client.shutdown_server().expect("shutdown");
     server.join().expect("daemon thread");
 }
